@@ -140,9 +140,14 @@ class LiveSequence:
                 f"got {delay_bound}",
             )
 
-    def push(self, job: Job) -> None:
-        """Admit one job for its arrival round (must not be in the past)."""
-        self.check(job.color, job.arrival, job.delay_bound)
+    def push(self, job: Job, *, checked: bool = False) -> None:
+        """Admit one job for its arrival round (must not be in the past).
+
+        ``checked=True`` skips the :meth:`check` a caller already ran on
+        this job (batch admission validates a whole batch, then pushes).
+        """
+        if not checked:
+            self.check(job.color, job.arrival, job.delay_bound)
         self._bounds.setdefault(job.color, job.delay_bound)
         self._buckets.setdefault(job.arrival, []).append(job)
         self._buffered += 1

@@ -17,7 +17,9 @@ crash recovery both rely on):
     before the commit is applied, so replay treats a marked batch as
     admitted exactly once.  An intent with no marker is a batch whose
     admission never completed (the client never saw ``accept``); replay
-    skips it.
+    skips it.  A submit whose journal write failed is rejected without
+    using up its seq, so a later intent may reuse the seq; only the last
+    intent of a seq can be marked.
 ``round``
     One completed round's merged result frame:
     ``{"kind": "round", "round": r, "executed": [...], ...}``.  Written
@@ -136,13 +138,20 @@ def replay_ops(
         for r in record_list
         if r.get("kind") == "commit" and "seq" in r
     }
+    # seq -> position of its last intent; an earlier intent of a reused
+    # seq belongs to a rejected submit.
+    last = {
+        r["seq"]: pos
+        for pos, r in enumerate(record_list)
+        if r.get("kind") == "submit" and r.get("seq") is not None
+    }
     ops: list[tuple[str, object]] = []
-    for record in record_list:
+    for pos, record in enumerate(record_list):
         kind = record.get("kind")
         if kind == "submit":
             seq = record.get("seq")
-            if seq is not None and seq not in marked:
-                continue  # intent without marker: admission never completed
+            if seq is not None and (seq not in marked or last[seq] != pos):
+                continue  # no marker: admission never completed
             rnd = record.get("round", 0)
             jobs = [job_from_wire(w, rnd) for w in record.get("jobs", [])]
             ops.append(("submit", jobs))

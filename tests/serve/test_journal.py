@@ -115,6 +115,19 @@ class TestReplayOps:
         assert [op for op, _ in ops] == ["submit"]
 
 
+    def test_reused_seq_marks_only_its_last_intent(self):
+        # A submit rejected after its intent landed leaves an unmarked
+        # intent; the next batch reuses the seq, and only it replays.
+        lost = [Job(color="a", arrival=0, delay_bound=2, uid=1)]
+        kept = [Job(color="a", arrival=0, delay_bound=2, uid=2)]
+        ops = replay_ops([
+            submit_record(1, 0, lost),
+            submit_record(1, 0, kept),
+            commit_record(1),
+        ])
+        assert [[job.uid for job in jobs] for _, jobs in ops] == [[2]]
+
+
 class TestCrashWindows:
     """Every kill point in the WAL sequence replays to a valid state."""
 

@@ -84,6 +84,17 @@ class TestAdmission:
             live.request(3)
         assert err.value.reason == "out_of_order"
 
+    def test_checked_push_skips_the_repeat_check(self):
+        # Batch admission checks first, then pushes with checked=True.
+        live = LiveSequence()
+        live.check("x", 0, 2)
+        live.push(J("x", 0, 2), checked=True)
+        live.request(0)
+        live.push(J("y", 0, 2), checked=True)  # stale, but trusted
+        assert live.num_jobs == 2
+        with pytest.raises(LiveSequenceError):
+            live.push(J("z", 0, 2))
+
     def test_check_does_not_mutate(self):
         live = LiveSequence()
         live.check("x", 0, 2)

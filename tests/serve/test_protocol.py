@@ -50,6 +50,12 @@ class TestJobCodec:
         job = job_from_wire({"color": 0, "delay_bound": 2}, default_arrival=17)
         assert job.arrival == 17
 
+    def test_non_dict_mapping_is_accepted(self):
+        from types import MappingProxyType
+
+        wire = MappingProxyType({"color": 0, "delay_bound": 2, "uid": 7})
+        assert job_from_wire(wire, default_arrival=0).uid == 7
+
     def test_uid_defaults_to_fresh(self):
         a = job_from_wire({"color": 0, "delay_bound": 2}, default_arrival=0)
         b = job_from_wire({"color": 0, "delay_bound": 2}, default_arrival=0)

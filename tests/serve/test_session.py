@@ -29,6 +29,23 @@ def session(**kw):
     return ShardedSession(**defaults)
 
 
+class TestEngineAuto:
+    def test_auto_resolves_on_each_shard_capacity(self):
+        from repro.core.engine import AUTO_ARRAY_MIN_RESOURCES
+
+        small = session(engine="auto")
+        assert small.engine == "auto"
+        assert [s.engine for s in small.shards] == ["incremental"] * 2
+        big = AUTO_ARRAY_MIN_RESOURCES
+        wide = session(n=big + 4, shards=2, weights=[big, 4], engine="auto")
+        assert [s.engine for s in wide.shards] == ["array", "incremental"]
+
+    def test_auto_session_admits_and_ticks(self):
+        s = session(engine="auto")
+        s.submit([J("a", 0, 2), J("b", 0, 2)])
+        assert s.tick()["executed"]
+
+
 class TestShardOf:
     def test_deterministic(self):
         assert shard_of("video", 4) == shard_of("video", 4)
