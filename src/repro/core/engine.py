@@ -64,18 +64,20 @@ def auto_engine(n: int) -> str:
 def resolve_engine(
     engine: str | None = None, *, incremental: bool | None = None
 ) -> str:
-    """Normalize an engine selection to a registry name.
+    """Normalize an engine selection to a registry name or ``"auto"``.
 
     ``engine`` wins when given; otherwise the legacy ``incremental``
     boolean maps to ``"incremental"``/``"reference"``; with neither, the
     default engine is ``"incremental"`` (matching ``Simulator``'s
-    default).
+    default).  ``"auto"`` passes through unchanged: only the code that
+    builds a simulator knows its resource count, and
+    :func:`make_simulator` resolves ``auto`` there.
     """
     if engine is None:
         if incremental is None or incremental:
             return "incremental"
         return "reference"
-    if engine not in ENGINES:
+    if engine != "auto" and engine not in ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; expected one of {list(ENGINES)}"
         )

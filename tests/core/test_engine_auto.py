@@ -12,6 +12,7 @@ from repro.core.engine import (
     AUTO_ARRAY_MIN_RESOURCES,
     auto_engine,
     make_simulator,
+    resolve_engine,
 )
 from repro.core.simulator import simulate
 from repro.policies import make_policy
@@ -27,6 +28,10 @@ class TestAutoEngine:
         assert auto_engine(1024) == "array"
         assert auto_engine(1) == "incremental"
         assert auto_engine(10_000) == "array"
+
+    def test_resolve_engine_leaves_auto_to_the_builder(self):
+        # Only the code that builds a simulator knows its resource count.
+        assert resolve_engine("auto", incremental=False) == "auto"
 
     def test_make_simulator_accepts_auto(self):
         instance = uniform_workload(
